@@ -12,8 +12,9 @@ namespace {
 
 constexpr auto kNoopAnchorDone = [](const std::vector<VertexId>&) {};
 
-// Support-count telemetry.  Each full CountEdgeSupports pass is one run;
-// the delegating overloads don't double-count (only compute sites report).
+// Support-count telemetry.  Each completed CountEdgeSupports pass is one
+// run; the delegating overloads don't double-count (only the pool-taking
+// overload computes and reports).
 struct CountingMetrics {
   obs::Counter* runs;
   obs::Histogram* seconds;
@@ -41,23 +42,34 @@ constexpr VertexId kAnchorsPerPoll = 64;
 // instead of pinning to whichever thread drew the first chunk.
 constexpr unsigned kChunksPerThread = 8;
 
+// The one support-accumulation loop behind every CountEdgeSupports path:
+// adds each bloom's (c - 1) to its wedge edges for the anchors in
+// [begin, end), in slices of kAnchorsPerPoll anchors, and gives up before
+// a slice once `should_stop()` returns true.  Returns false iff it gave up.
+template <typename StopFn>
+bool AccumulateSupports(const PriorityAdjacency& adj, VertexId begin,
+                        VertexId end, internal::BloomScratch& scratch,
+                        std::vector<SupportT>& sup, StopFn&& should_stop) {
+  for (VertexId slice = begin; slice < end; slice += kAnchorsPerPoll) {
+    if (should_stop()) return false;
+    const VertexId slice_end =
+        end - slice > kAnchorsPerPoll ? slice + kAnchorsPerPoll : end;
+    internal::ForEachBloomRange<true>(
+        adj, slice, slice_end, scratch, [](VertexId, SupportT) {},
+        [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
+          sup[anchor_edge] += c - 1;
+          sup[far_edge] += c - 1;
+        },
+        kNoopAnchorDone);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
                                         const PriorityAdjacency& adj) {
-  const CountingMetrics& metrics = CountingMetrics::Get();
-  Timer timer;
-  std::vector<SupportT> sup(g.NumEdges(), 0);
-  internal::ForEachBloom<true>(
-      adj, [](VertexId, SupportT) {},
-      [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-        sup[anchor_edge] += c - 1;
-        sup[far_edge] += c - 1;
-      },
-      kNoopAnchorDone);
-  metrics.runs->Inc();
-  metrics.seconds->Observe(timer.Seconds());
-  return sup;
+  return CountEdgeSupports(g, adj, nullptr);
 }
 
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g) {
@@ -77,25 +89,13 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
   const CountingMetrics& metrics = CountingMetrics::Get();
   Timer timer;
   if (pool == nullptr || pool->NumThreads() <= 1) {
-    if (!deadline.IsFinite()) return CountEdgeSupports(g, adj);
-    // Sequential but deadline-aware: same enumeration, polled per sub-slice.
     std::vector<SupportT> sup(m, 0);
     internal::BloomScratch scratch;
     scratch.Prepare(n);
-    for (VertexId begin = 0; begin < n; begin += kAnchorsPerPoll) {
-      if (deadline.Expired()) {
-        if (expired != nullptr) *expired = true;
-        return {};
-      }
-      const VertexId end =
-          begin + kAnchorsPerPoll < n ? begin + kAnchorsPerPoll : n;
-      internal::ForEachBloomRange<true>(
-          adj, begin, end, scratch, [](VertexId, SupportT) {},
-          [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-            sup[anchor_edge] += c - 1;
-            sup[far_edge] += c - 1;
-          },
-          kNoopAnchorDone);
+    if (!AccumulateSupports(adj, 0, n, scratch, sup,
+                            [&] { return deadline.Expired(); })) {
+      if (expired != nullptr) *expired = true;
+      return {};
     }
     metrics.runs->Inc();
     metrics.seconds->Observe(timer.Seconds());
@@ -106,36 +106,24 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
   std::vector<std::vector<SupportT>> partial(num_threads);
   std::vector<internal::BloomScratch> scratch(num_threads);
   std::atomic<bool> abort{false};
+  // The first thread to see the deadline pass raises `abort`; the others
+  // drop out at their next slice boundary.
+  const auto should_stop = [&] {
+    if (deadline.Expired()) abort.store(true, std::memory_order_relaxed);
+    return abort.load(std::memory_order_relaxed);
+  };
 
   pool->ParallelForChunks(
       0, n, num_threads * kChunksPerThread,
       [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
-        if (abort.load(std::memory_order_relaxed)) return;
         std::vector<SupportT>& sup = partial[thread];
         if (sup.empty()) {
           sup.assign(m, 0);
           scratch[thread].Prepare(n);
         }
-        for (std::uint64_t slice = begin; slice < end;
-             slice += kAnchorsPerPoll) {
-          if (deadline.IsFinite()) {
-            if (abort.load(std::memory_order_relaxed)) return;
-            if (deadline.Expired()) {
-              abort.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          const VertexId slice_end = static_cast<VertexId>(
-              slice + kAnchorsPerPoll < end ? slice + kAnchorsPerPoll : end);
-          internal::ForEachBloomRange<true>(
-              adj, static_cast<VertexId>(slice), slice_end, scratch[thread],
-              [](VertexId, SupportT) {},
-              [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-                sup[anchor_edge] += c - 1;
-                sup[far_edge] += c - 1;
-              },
-              kNoopAnchorDone);
-        }
+        AccumulateSupports(adj, static_cast<VertexId>(begin),
+                           static_cast<VertexId>(end), scratch[thread], sup,
+                           should_stop);
       });
 
   if (abort.load(std::memory_order_relaxed)) {
@@ -177,37 +165,6 @@ std::uint64_t CountTotalButterflies(const BipartiteGraph& g) {
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
   return CountTotalButterflies(g, adj);
-}
-
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj,
-                                    ThreadPool* pool) {
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    return CountTotalButterflies(g, adj);
-  }
-  const VertexId n = adj.NumVertices();
-  const unsigned num_threads = pool->NumThreads();
-  std::vector<std::uint64_t> per_thread(num_threads, 0);
-  std::vector<internal::BloomScratch> scratch(num_threads);
-  pool->ParallelForChunks(
-      0, n, num_threads * kChunksPerThread,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
-        if (scratch[thread].count.empty()) scratch[thread].Prepare(n);
-        // Chunk-local accumulator: per_thread slots share cache lines, so
-        // touching them once per chunk (not per pair) avoids false sharing.
-        std::uint64_t chunk_total = 0;
-        internal::ForEachBloomRange<false>(
-            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
-            scratch[thread],
-            [&](VertexId, SupportT c) {
-              chunk_total += static_cast<std::uint64_t>(c) * (c - 1) / 2;
-            },
-            [](VertexId, SupportT, EdgeId, EdgeId) {}, kNoopAnchorDone);
-        per_thread[thread] += chunk_total;
-      });
-  std::uint64_t total = 0;
-  for (const std::uint64_t t : per_thread) total += t;
-  return total;
 }
 
 }  // namespace bitruss

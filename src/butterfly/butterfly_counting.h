@@ -10,12 +10,12 @@
 // support c - 1 from the pair.  Total work is
 // O(sum_{(u,v) in E} min{d(u), d(v)}) under the degree priority.
 //
-// Parallel variants partition the ANCHOR vertices across a ThreadPool:
-// every wedge has exactly one anchor, so anchor chunks partition the wedge
-// set, each thread accumulates supports into a private array, and the
-// per-edge merge sums thread arrays — integer sums, so the output is
-// bit-identical to the sequential count at every thread count (no atomics
-// anywhere on the hot path).
+// The pool-taking CountEdgeSupports partitions the ANCHOR vertices across
+// a ThreadPool: every wedge has exactly one anchor, so anchor chunks
+// partition the wedge set, each thread accumulates supports into a private
+// array, and the per-edge merge sums thread arrays — integer sums, so the
+// output is bit-identical to the sequential count at every thread count
+// (no atomics anywhere on the hot path).
 
 #ifndef BITRUSS_BUTTERFLY_BUTTERFLY_COUNTING_H_
 #define BITRUSS_BUTTERFLY_BUTTERFLY_COUNTING_H_
@@ -51,11 +51,6 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
                                     const PriorityAdjacency& adj);
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g);
-
-/// Parallel total over `pool` (nullptr or 1-thread = sequential path).
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj,
-                                    ThreadPool* pool);
 
 }  // namespace bitruss
 

@@ -63,10 +63,6 @@ std::uint32_t BEIndex::EdgeLiveCount(EdgeId e) const {
   return live;
 }
 
-std::vector<SupportT> BEIndex::ComputeSupports() const {
-  return ComputeSupports(nullptr);
-}
-
 std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
   std::vector<SupportT> sup(num_edges, 0);
   const auto compute_range = [&](std::uint64_t begin, std::uint64_t end) {
@@ -333,15 +329,6 @@ BEIndex BEIndexBuilder::Build(const BipartiteGraph& g,
                               const PriorityAdjacency& adj, ThreadPool* pool) {
   Timer timer;
   BEIndex index = BuildImpl(g.NumEdges(), adj, {}, pool);
-  RecordBuild(index, timer.Seconds());
-  return index;
-}
-
-BEIndex BEIndexBuilder::BuildCompressed(
-    const BipartiteGraph& g, const PriorityAdjacency& adj,
-    const std::vector<std::uint8_t>& assigned, ThreadPool* pool) {
-  Timer timer;
-  BEIndex index = BuildImpl(g.NumEdges(), adj, assigned, pool);
   RecordBuild(index, timer.Seconds());
   return index;
 }

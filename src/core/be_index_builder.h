@@ -70,12 +70,11 @@ struct BEIndex {
   std::uint32_t EdgeLiveCount(EdgeId e) const;
 
   /// sup(e) = sum of (k(B) - 1) over live wedges of e (Lemma 4).  Edges
-  /// without wedges (or excluded from a compressed index) read 0.  The
-  /// pool-taking overload parallelizes over edge ranges (each edge is an
+  /// without wedges (or excluded from a compressed index) read 0.  A
+  /// non-null `pool` parallelizes over edge ranges (each edge is an
   /// independent read), bit-identical at every thread count; BiT-PC's
   /// cascade recount passes go through it.
-  std::vector<SupportT> ComputeSupports() const;
-  std::vector<SupportT> ComputeSupports(ThreadPool* pool) const;
+  std::vector<SupportT> ComputeSupports(ThreadPool* pool = nullptr) const;
 
   std::uint64_t MemoryBytes() const;
 };
@@ -89,16 +88,10 @@ class BEIndexBuilder {
   static BEIndex Build(const BipartiteGraph& g, const PriorityAdjacency& adj,
                        ThreadPool* pool = nullptr);
 
-  /// Compressed index over all edges, folding wedges whose two edges are
-  /// both `assigned` into the bloom base counts.
-  static BEIndex BuildCompressed(const BipartiteGraph& g,
-                                 const PriorityAdjacency& adj,
-                                 const std::vector<std::uint8_t>& assigned,
-                                 ThreadPool* pool = nullptr);
-
-  /// Compressed index over the subgraph {e : included[e] != 0}; wedges with
-  /// an excluded edge are dropped entirely.  `included` may be empty to
-  /// mean "all edges".
+  /// Compressed index over the subgraph {e : included[e] != 0}, folding
+  /// wedges whose two edges are both `assigned` into the bloom base counts;
+  /// wedges with an excluded edge are dropped entirely.  `included` may be
+  /// empty to mean "all edges".
   static BEIndex BuildCompressed(const BipartiteGraph& g,
                                  const PriorityAdjacency& adj,
                                  const std::vector<std::uint8_t>& assigned,

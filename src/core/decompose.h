@@ -48,8 +48,7 @@ struct DecomposeOptions {
   /// Vertex ordering; any total order is correct (kIdOnly is for ablation).
   PriorityRule priority_rule = PriorityRule::kDegreeThenId;
   /// Thread count for support counting, BE-Index construction and BiT-PC's
-  /// cascade recount passes (peeling itself stays sequential here; see
-  /// core/parallel_peel.h for the parallel peeler).  Results are
+  /// cascade recount passes; the peel itself is sequential.  Results are
   /// bit-identical at every thread count.
   ParallelOptions parallel;
   /// Optional phase tracing: counting / index build / peel (and, for kPC,

@@ -30,6 +30,10 @@ Rules (each failure prints file:line and a one-line explanation):
      BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") must
      be referenced by name somewhere under tests/ — no fault point may
      exist without crash/degradation coverage.
+  7. build-coverage  every bench/*.cc must be compiled by a target in
+     CMakeLists.txt, and every src/**/*.cc must be in the bitruss_core
+     source list.  A bench stub that never builds, or a library source
+     only perfbench's GLOB_RECURSE compiles, cannot slip in unnoticed.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -66,6 +70,9 @@ NAKED_STATUS_RE = re.compile(
 )
 GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$", re.MULTILINE)
 FAULT_POINT_RE = re.compile(r'BITRUSS_FAULT_POINT(?:_STATUS)?\("([^"]+)"\)')
+CMAKE_COMMENT_RE = re.compile(r"#[^\n]*")
+CMAKE_CALL_RE = re.compile(r"\b(\w+)\s*\(([^)]*)\)")
+CMAKE_VAR_RE = re.compile(r"\$\{(\w+)\}")
 
 SOURCE_DIRS = ("src", "bench", "tests", "cmake")
 SOURCE_SUFFIXES = (".h", ".cc")
@@ -206,6 +213,61 @@ def check_fault_point_coverage(root, errors):
         )
 
 
+def cmake_targets(text):
+    """Maps each add_executable/add_library target in a CMake file to its
+    arguments, expanding set() lists and foreach() loops as CMake would."""
+    lists = {}
+    loops = []  # (variable, items) of the enclosing foreach() blocks
+    targets = {}
+    for command, arg_text in CMAKE_CALL_RE.findall(
+            CMAKE_COMMENT_RE.sub("", text)):
+        command = command.lower()
+        args = arg_text.split()
+        if command == "set" and args:
+            lists[args[0]] = args[1:]
+        elif command == "foreach" and args:
+            items = args[1:]
+            if items[:2] == ["IN", "LISTS"]:
+                items = [i for name in items[2:] for i in lists.get(name, [])]
+            loops.append((args[0], items))
+        elif command == "endforeach" and loops:
+            loops.pop()
+        elif command in ("add_executable", "add_library") and args:
+            bindings = [{}]
+            for var, items in loops:
+                bindings = [{**b, var: item} for b in bindings for item in items]
+            for b in bindings:
+                expanded = [
+                    CMAKE_VAR_RE.sub(lambda m: b.get(m.group(1), m.group(0)), a)
+                    for a in args
+                ]
+                targets[expanded[0]] = expanded[1:]
+    return targets
+
+
+def check_build_coverage(root, errors):
+    cmake = root / "CMakeLists.txt"
+    if not cmake.is_file():
+        return
+    targets = cmake_targets(cmake.read_text())
+    built = {arg for args in targets.values() for arg in args}
+    for path in sorted((root / "bench").glob("*.cc")):
+        rel = path.relative_to(root).as_posix()
+        if rel not in built:
+            errors.append(
+                f"{rel}: compiled by no target in CMakeLists.txt; a bench "
+                "that never builds rots unnoticed"
+            )
+    core = set(targets.get("bitruss_core", ()))
+    for path in sorted((root / "src").rglob("*.cc")):
+        rel = path.relative_to(root).as_posix()
+        if rel not in core:
+            errors.append(
+                f"{rel}: missing from the bitruss_core source list in "
+                "CMakeLists.txt"
+            )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -224,6 +286,7 @@ def main():
     check_include_guards(root, errors)
     check_bench_meta(root, errors)
     check_fault_point_coverage(root, errors)
+    check_build_coverage(root, errors)
 
     if errors:
         for error in errors:
