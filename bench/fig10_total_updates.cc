@@ -1,7 +1,9 @@
 // Figure 10: the total number of butterfly support updates performed by
 // BiT-BU, BiT-BU++ and BiT-PC on Github, D-label, D-style and Wiki-it.
 // BU++'s batching reduces updates versus BU; PC's progressive compression
-// cuts the bulk of the remaining (hub-edge) updates.
+// cuts the bulk of the remaining (hub-edge) updates.  PC's count includes
+// each round's eviction cascade (the batch peel that cuts the round's seed
+// down to the theta-bitruss), which on the sparser rows outweighs that cut.
 
 #include <cstdio>
 

@@ -1,13 +1,14 @@
 // Figure 8 (illustration made measurable): BiT-PC's progressive
-// compression.  Per iteration: the threshold theta, the candidate subgraph
-// size, how many bitruss numbers were fixed, and the compressed index
-// footprint — showing the candidate shrinking from G>=kmax toward G>=0
-// while hub edges are assigned early and compressed away.
+// compression.  Per iteration: the threshold theta, the seed candidate the
+// round indexes, the edges its eviction cascade removed, the unassigned
+// edges of the theta-bitruss left after it, how many bitruss numbers were
+// fixed, and the compressed index footprint — showing hub edges assigned
+// early and compressed away as theta falls toward 0.
 //
 // The rows come from the observability layer's span trace: RunPC records
-// one "pc/round" span per theta with the candidate/assigned/index-bytes
-// numbers as notes, so this harness reads what the decomposition actually
-// did instead of keeping its own side channel.
+// one "pc/round" span per theta with these numbers as notes, so this
+// harness reads what the decomposition actually did instead of keeping its
+// own side channel.
 
 #include <cstdio>
 
@@ -42,18 +43,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  TablePrinter table("pc_trace", {"iter", "theta", "candidate |E|", "assigned",
-                                  "index (MiB)", "round (s)"});
+  TablePrinter table("pc_trace",
+                     {"iter", "theta", "seed |E|", "evicted", "candidate |E|",
+                      "assigned", "index (MiB)", "round (s)"});
+  const auto count = [](const obs::SpanRecord& span, const char* key) {
+    return FormatCount(static_cast<std::uint64_t>(NoteValue(span, key)));
+  };
   std::size_t iter = 0;
   for (const obs::SpanRecord& span : trace.Events()) {
     if (span.name != "pc/round") continue;
-    table.AddRow({std::to_string(++iter),
-                  FormatCount(static_cast<std::uint64_t>(
-                      NoteValue(span, "theta"))),
-                  FormatCount(static_cast<std::uint64_t>(
-                      NoteValue(span, "candidate_edges"))),
-                  FormatCount(static_cast<std::uint64_t>(
-                      NoteValue(span, "assigned"))),
+    table.AddRow({std::to_string(++iter), count(span, "theta"),
+                  count(span, "seed_edges"), count(span, "evicted"),
+                  count(span, "candidate_edges"), count(span, "assigned"),
                   FormatDouble(BytesToMiB(static_cast<std::uint64_t>(
                                    NoteValue(span, "index_bytes"))),
                                2),

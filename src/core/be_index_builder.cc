@@ -1,6 +1,7 @@
 #include "core/be_index_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "butterfly/wedge_enumeration.h"
@@ -65,14 +66,20 @@ std::uint32_t BEIndex::EdgeLiveCount(EdgeId e) const {
 
 std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
   std::vector<SupportT> sup(num_edges, 0);
+  // Set by any worker whose edge sums past the 32-bit support range; the
+  // throw happens on the calling thread once every range has finished.
+  std::atomic<bool> overflow{false};
   const auto compute_range = [&](std::uint64_t begin, std::uint64_t end) {
     for (std::uint64_t e = begin; e < end; ++e) {
-      SupportT s = 0;
+      std::uint64_t s = 0;
       for (std::uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1]; ++i) {
         const WedgeId w = edge_wedges[i];
-        if (wedge_alive[w]) s += BloomK(wedge_bloom[w]) - 1;
+        if (!wedge_alive[w]) continue;
+        const BloomId b = wedge_bloom[w];
+        s += std::uint64_t{bloom_base[b]} + bloom_live[b] - 1;
       }
-      sup[e] = s;
+      if (s > UINT32_MAX) overflow.store(true, std::memory_order_relaxed);
+      sup[e] = static_cast<SupportT>(s);
     }
   };
   if (pool == nullptr || pool->NumThreads() <= 1) {
@@ -83,6 +90,9 @@ std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
         [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned) {
           compute_range(begin, end);
         });
+  }
+  if (overflow.load(std::memory_order_relaxed)) {
+    throw std::length_error("BEIndex: edge support exceeds 32-bit range");
   }
   return sup;
 }

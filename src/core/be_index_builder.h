@@ -70,10 +70,12 @@ struct BEIndex {
   std::uint32_t EdgeLiveCount(EdgeId e) const;
 
   /// sup(e) = sum of (k(B) - 1) over live wedges of e (Lemma 4).  Edges
-  /// without wedges (or excluded from a compressed index) read 0.  A
-  /// non-null `pool` parallelizes over edge ranges (each edge is an
-  /// independent read), bit-identical at every thread count; BiT-PC's
-  /// cascade recount passes go through it.
+  /// without wedges (or excluded from a compressed index) read 0.  Sums
+  /// are taken in 64 bits; one past UINT32_MAX throws std::length_error,
+  /// the policy the build applies to wedge ids.  A non-null `pool`
+  /// parallelizes over edge ranges (each edge is an independent read),
+  /// bit-identical at every thread count; BiT-PC reads each round's seed
+  /// supports from it.
   std::vector<SupportT> ComputeSupports(ThreadPool* pool = nullptr) const;
 
   std::uint64_t MemoryBytes() const;

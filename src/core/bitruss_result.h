@@ -15,7 +15,9 @@ namespace bitruss {
 /// One BiT-PC iteration, for Figure 8's progressive-compression trace.
 struct PCIterationTrace {
   std::uint64_t theta = 0;            ///< support threshold of the iteration
-  std::uint64_t candidate_edges = 0;  ///< unassigned edges in the candidate
+  /// Unassigned edges of the theta-bitruss: the round's seed minus the
+  /// edges its eviction cascade removed.
+  std::uint64_t candidate_edges = 0;
   std::uint64_t assigned_now = 0;     ///< bitruss numbers fixed this round
   std::uint64_t index_bytes = 0;      ///< compressed BE-Index footprint
 };

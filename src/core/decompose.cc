@@ -149,14 +149,16 @@ void RunIndexed(const BipartiteGraph& g, const PriorityAdjacency& adj,
 }
 
 // BiT-PC.  Rounds iterate a strictly decreasing support threshold theta.
-// Each round restricts to the theta-bitruss of g — computed by cascade
-// *recounting* (counting passes, not support updates; that exchange is
-// exactly the progressive-compression trade) — and peels it with all
-// previously assigned edges frozen and their mutual wedges compressed into
-// bloom base counts.  Every edge of the theta-bitruss has phi >= theta, so
-// the round assigns every edge it peels, each edge is peeled exactly once
-// across the whole run, and hub edges never absorb the low-level update
-// storm (Figure 7's observation).
+// Each round builds one compressed index over its seed candidate — the
+// assigned edges, frozen with their mutual wedges folded into bloom base
+// counts, plus every unassigned edge whose phi bound allows theta — and
+// peels it with floor theta: the peel first evicts, wave by wave, every
+// edge whose in-candidate support falls below theta, which leaves the
+// theta-bitruss of g (it contains every assigned edge and lies inside the
+// seed), then peels that with levels >= theta.  So the round assigns every
+// edge it reports, each edge is assigned exactly once across the whole
+// run, and hub edges never absorb the low-level update storm (Figure 7's
+// observation).  Evicted edges keep phi < theta, which tightens their bound.
 void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
            const std::vector<SupportT>& sup_g, const DecomposeOptions& options,
            ThreadPool* pool, BitrussResult* result) {
@@ -185,8 +187,8 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     }
     if (ladder.empty() || ladder.back() > 0) ladder.push_back(0);
   }
-  // Per-edge upper bound on phi, tightened every time a cascade evicts the
-  // edge from a theta-bitruss; keeps later rounds' seed subgraphs small.
+  // Per-edge upper bound on phi, tightened to theta - 1 every time a round
+  // evicts the edge; keeps later rounds' seed candidates small.
   std::vector<SupportT> phi_bound = sup_g;
 
   for (const std::uint64_t theta : ladder) {
@@ -199,61 +201,24 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     obs::ObsSpan round_span(options.trace, "pc/round");
     round_span.Note("theta", static_cast<double>(theta));
 
-    // Candidate = theta-bitruss: seed with assigned edges (phi >= theta by
-    // construction) plus unassigned edges whose phi bound allows theta,
-    // then cascade-recount until every candidate has in-subgraph support
-    // >= theta.  Recounting is counting work, not support updates — that
-    // exchange is the essence of progressive compression.
+    PeelerOptions peel_options;
+    peel_options.track_per_edge_updates = options.track_per_edge_updates;
+    peel_options.floor = static_cast<SupportT>(theta);
+    peel_options.frozen.resize(m);
+    std::uint64_t seed_edges = 0;
     for (EdgeId e = 0; e < m; ++e) {
       included[e] = assigned[e] || phi_bound[e] >= theta;
+      peel_options.frozen[e] = assigned[e] || !included[e];
+      seed_edges += !peel_options.frozen[e];
     }
-    // Cascade until every unassigned candidate holds in-subgraph support
-    // >= theta; the converged build is reused directly for the peel.
-    BEIndex index;
-    std::vector<SupportT> sup_sub;
-    bool converged = false;
-    while (!converged && !options.deadline.Expired()) {
-      // The cascade recount is the PC hot path: both the compressed build
-      // and the Lemma 4 support scan run over the pool.
-      index = BEIndexBuilder::BuildCompressed(g, adj, assigned, included, pool);
-      sup_sub = index.ComputeSupports(pool);
-      converged = true;
-      if (theta == 0) break;
-      for (EdgeId e = 0; e < m; ++e) {
-        if (included[e] && !assigned[e] && sup_sub[e] < theta) {
-          included[e] = 0;
-          phi_bound[e] = std::min<SupportT>(
-              phi_bound[e], static_cast<SupportT>(theta - 1));
-          converged = false;
-        }
-      }
-    }
-    if (!converged) {
-      result->timed_out = true;
-      break;
-    }
-
-    std::uint64_t candidate_unassigned = 0;
-    for (EdgeId e = 0; e < m; ++e) {
-      candidate_unassigned += included[e] && !assigned[e];
-    }
-    if (candidate_unassigned == 0) {
-      // No edge has phi at or above this theta; move down the ladder.
-      result->pc_trace.push_back({theta, 0, 0, 0});
-      round_span.Note("candidate_edges", 0);
-      continue;
-    }
-
+    // The build and the Lemma 4 support scan run over the pool.
+    BEIndex index = BEIndexBuilder::BuildCompressed(g, adj, assigned, included,
+                                                    pool);
+    std::vector<SupportT> sup_sub = index.ComputeSupports(pool);
     const std::uint64_t index_bytes = index.MemoryBytes();
     result->counters.peak_index_bytes =
         std::max(result->counters.peak_index_bytes, index_bytes);
 
-    PeelerOptions peel_options;
-    peel_options.track_per_edge_updates = options.track_per_edge_updates;
-    peel_options.frozen.resize(m);
-    for (EdgeId e = 0; e < m; ++e) {
-      peel_options.frozen[e] = assigned[e] || !included[e];
-    }
     PeelCounters counters;
     counters.per_edge_updates = std::move(result->counters.per_edge_updates);
 
@@ -263,20 +228,29 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     const bool completed = peeler.Run(
         Peeler::Mode::kBatchBlooms, options.deadline,
         [&](EdgeId e, SupportT level) {
-          // Every candidate edge sits in the theta-bitruss, so the peel
-          // level provably reaches theta; the guard is defensive only.
-          if (level >= theta) {
-            result->phi[e] = level;
-            assigned[e] = 1;
-            ++assigned_now;
-          }
+          // A round assigns exactly the edges it peels at level >= theta
+          // (with the floor, every edge it reports); every other edge it
+          // removed counts as evicted below.
+          if (level < theta) return;
+          result->phi[e] = level;
+          assigned[e] = 1;
+          ++assigned_now;
         });
+    std::uint64_t evicted = 0;
+    for (EdgeId e = 0; e < m; ++e) {
+      if (included[e] && !assigned[e] && peeler.removed()[e]) {
+        ++evicted;
+        phi_bound[e] = static_cast<SupportT>(theta - 1);  // theta > 0 here
+      }
+    }
     result->counters.support_updates += counters.support_updates;
     result->counters.per_edge_updates = std::move(counters.per_edge_updates);
+    const std::uint64_t candidate_edges = seed_edges - evicted;
     result->pc_trace.push_back(
-        {theta, candidate_unassigned, assigned_now, index_bytes});
-    round_span.Note("candidate_edges",
-                    static_cast<double>(candidate_unassigned));
+        {theta, candidate_edges, assigned_now, index_bytes});
+    round_span.Note("seed_edges", static_cast<double>(seed_edges));
+    round_span.Note("evicted", static_cast<double>(evicted));
+    round_span.Note("candidate_edges", static_cast<double>(candidate_edges));
     round_span.Note("assigned", static_cast<double>(assigned_now));
     round_span.Note("index_bytes", static_cast<double>(index_bytes));
     if (!completed) {

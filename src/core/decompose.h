@@ -7,12 +7,14 @@
 //   kBUPlus     + batch edge processing — Section V-A.
 //   kBUPlusPlus + batch bloom processing — Section V-B.
 //   kPC         progressive compression: iterate a decreasing support
-//               threshold theta; each round rebuilds a compressed BE-Index
-//               over the candidate subgraph {e : sup_G(e) >= theta} with
-//               already-assigned edges folded away, peels it, and fixes
-//               phi for edges whose peel level reaches theta — Section V-C.
-//               `tau` sets the fraction of edges targeted per round
-//               (tau = 1 degenerates to a single full round).
+//               threshold theta; each round builds one compressed BE-Index
+//               over the seed candidate (edges whose phi bound reaches
+//               theta) with already-assigned edges folded away, evicts
+//               edges below theta by batch peeling down to the
+//               theta-bitruss, and peels that, fixing phi for every edge
+//               it reaches — Section V-C.  `tau` sets the fraction of
+//               edges targeted per round (tau = 1 degenerates to a single
+//               full round).
 //
 // cohesion/ab_core.h wraps this entry point as DecomposeWithCorePruning():
 // an exact (2,2)-core pre-prune in front of any of the variants above.
@@ -47,9 +49,10 @@ struct DecomposeOptions {
   bool track_per_edge_updates = false;
   /// Vertex ordering; any total order is correct (kIdOnly is for ablation).
   PriorityRule priority_rule = PriorityRule::kDegreeThenId;
-  /// Thread count for support counting, BE-Index construction and BiT-PC's
-  /// cascade recount passes; the peel itself is sequential.  Results are
-  /// bit-identical at every thread count.
+  /// Thread count for support counting, BE-Index construction (BiT-PC's
+  /// per-round compressed build included) and BiT-PC's per-round support
+  /// scan; the peel, BiT-PC's eviction cascade included, is sequential.
+  /// Results are bit-identical at every thread count.
   ParallelOptions parallel;
   /// Optional phase tracing: counting / index build / peel (and, for kPC,
   /// one span per theta round) are recorded as spans.  Null disables

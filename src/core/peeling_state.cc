@@ -120,11 +120,35 @@ void Peeler::ProcessBatchBlooms(const std::vector<EdgeId>& batch) {
   dirty_blooms_.clear();
 }
 
+bool Peeler::EvictBelowFloor(const Deadline& deadline, EdgeId* remaining) {
+  std::vector<EdgeId> wave;
+  while (true) {
+    if (deadline.Expired()) return false;
+    wave.clear();
+    const SupportT end = static_cast<SupportT>(
+        std::min<std::size_t>(options_.floor, buckets_.size()));
+    for (; cursor_ < end; ++cursor_) {
+      for (const EdgeId e : buckets_[cursor_]) {
+        if (removed_[e] || support_[e] != cursor_) continue;  // stale entry
+        removed_[e] = 1;
+        wave.push_back(e);
+      }
+      buckets_[cursor_].clear();
+    }
+    if (wave.empty()) return true;
+    *remaining -= static_cast<EdgeId>(wave.size());
+    ProcessBatchBlooms(wave);  // lowers cursor_ to the next wave's edges
+  }
+}
+
 bool Peeler::Run(Mode mode, const Deadline& deadline,
                  const std::function<void(EdgeId, SupportT)>& on_assign) {
   const EdgeId m = index_.num_edges;
   EdgeId remaining = 0;
   for (EdgeId e = 0; e < m; ++e) remaining += !IsFrozen(e);
+  if (options_.floor > 0 && !EvictBelowFloor(deadline, &remaining)) {
+    return false;
+  }
 
   SupportT level = 0;
   std::uint32_t since_poll = 0;

@@ -21,6 +21,14 @@
 // enqueued, never popped, and never updated; updates that would land on
 // them are skipped without being counted — that skip is exactly the
 // progressive-compression saving.
+//
+// A floor (BiT-PC's round threshold theta) first evicts, wave by wave,
+// every edge whose support is below it — one batch-bloom batch per wave,
+// whatever the mode — without reporting them.  What survives is the
+// floor-bitruss of the non-frozen subgraph, which the peel then processes
+// as usual: every reported level is >= the floor.  The eviction runs only
+// before the first assignment; an edge dropping below the floor later is
+// peeled and reported like any other.
 
 #ifndef BITRUSS_CORE_PEELING_STATE_H_
 #define BITRUSS_CORE_PEELING_STATE_H_
@@ -45,6 +53,9 @@ struct PeelerOptions {
   /// Edges excluded from peeling (never popped, never updated).  Empty
   /// means none.
   std::vector<std::uint8_t> frozen;
+  /// Edges with support below the floor at the start of the peel, and
+  /// those the eviction cascade pushes below it, are removed unreported.
+  SupportT floor = 0;
   bool track_per_edge_updates = false;
 };
 
@@ -60,7 +71,8 @@ class Peeler {
          PeelCounters* counters);
 
   /// Peels every non-frozen edge, invoking on_assign(e, phi) as each edge's
-  /// bitruss number is fixed.  Returns false if the deadline expired before
+  /// bitruss number is fixed (edges evicted below the floor are removed
+  /// without a call).  Returns false if the deadline expired before
   /// completion (the remaining edges keep their current state).
   bool Run(Mode mode, const Deadline& deadline,
            const std::function<void(EdgeId, SupportT)>& on_assign);
@@ -75,6 +87,9 @@ class Peeler {
   void ApplyUpdate(EdgeId e, SupportT delta);
   void RemoveEdgeWedges(EdgeId e);
   void ProcessBatchBlooms(const std::vector<EdgeId>& batch);
+  /// Evicts edges below the floor until none is left, subtracting them
+  /// from *remaining.  Returns false if the deadline expired between waves.
+  bool EvictBelowFloor(const Deadline& deadline, EdgeId* remaining);
 
   BEIndex index_;
   std::vector<SupportT> support_;

@@ -10,12 +10,17 @@
 #include <string>
 #include <vector>
 
+#include "butterfly/butterfly_counting.h"
+#include "core/be_index_builder.h"
 #include "core/decompose.h"
+#include "core/peeling_state.h"
 #include "core/verify.h"
 #include "gen/chung_lu.h"
 #include "gen/dataset_suite.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
+#include "graph/vertex_priority.h"
+#include "obs/metrics.h"
 
 namespace bitruss {
 namespace {
@@ -238,6 +243,86 @@ TEST(BitrussOracle, DeadlineProducesPartialTimedOutResult) {
           << "algorithm " << variant << " edge " << e;
     }
     EXPECT_GT(assigned, 0u) << "algorithm " << variant;
+  }
+}
+
+TEST(BitrussOracle, PCMatchesBUOnHubGraphWithFewerUpdates) {
+  // Each PC round evicts edges below theta from its seed candidate by one
+  // batch peel, so eviction updates count against PC too; it must still
+  // beat BU's update count, on the same phi, at every tau.
+  const BipartiteGraph g = MakeDataset("D-style", 0.05);
+  DecomposeOptions options;
+  options.algorithm = Algorithm::kBU;
+  const BitrussResult bu = Decompose(g, options);
+  options.algorithm = Algorithm::kPC;
+  for (const double tau : {0.02, 0.05, 0.1, 0.3, 1.0}) {
+    options.tau = tau;
+    const BitrussResult pc = Decompose(g, options);
+    ASSERT_FALSE(pc.timed_out) << "tau " << tau;
+    EdgeId mismatches = 0;
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      mismatches += pc.phi[e] != bu.phi[e];
+    }
+    EXPECT_EQ(mismatches, 0u) << "tau " << tau;
+    EXPECT_LT(pc.counters.support_updates, bu.counters.support_updates)
+        << "tau " << tau;
+  }
+}
+
+TEST(BitrussOracle, PCBuildsOneIndexPerRound) {
+  const BipartiteGraph g = MakeDataset("D-style", 0.05);
+  const obs::Counter* builds = obs::MetricsRegistry::Default().GetCounter(
+      "bitruss_beindex_builds_total");
+  DecomposeOptions options;
+  options.algorithm = Algorithm::kPC;
+  options.tau = 0.02;
+  const std::uint64_t before = builds->Value();
+  const BitrussResult pc = Decompose(g, options);
+  const std::uint64_t after = builds->Value();
+  ASSERT_FALSE(pc.timed_out);
+  EXPECT_GT(pc.pc_trace.size(), 1u);
+  EXPECT_EQ(after - before, pc.pc_trace.size());
+}
+
+TEST(BitrussOracle, PeelerFloorReportsExactlyTheFloorBitruss) {
+  // With a floor, the peel reports exactly the edges with phi >= floor, at
+  // their phi; the edges it evicts never reach on_assign.  Floors span the
+  // whole phi range, so later levels do drop support below the floor
+  // (which must not evict them once assignment has begun).
+  const BipartiteGraph g = MakeDataset("D-style", 0.05);
+  const BitrussResult truth = Decompose(g);
+  const SupportT max_phi = truth.MaxPhi();
+  ASSERT_GT(max_phi, 4u);
+  const PriorityAdjacency adj(g, VertexPriority::Compute(g));
+  const std::vector<SupportT> sup = CountEdgeSupports(g, adj);
+  for (const Peeler::Mode mode :
+       {Peeler::Mode::kSingle, Peeler::Mode::kBatchEdges,
+        Peeler::Mode::kBatchBlooms}) {
+    for (const SupportT floor :
+         {SupportT{1}, max_phi / 4, max_phi / 2, max_phi, max_phi + 1}) {
+      PeelerOptions peel_options;
+      peel_options.floor = floor;
+      PeelCounters counters;
+      Peeler peeler(BEIndexBuilder::Build(g, adj), sup, peel_options,
+                    &counters);
+      std::vector<SupportT> reported(g.NumEdges(), 0);
+      SupportT min_level = UINT32_MAX;
+      ASSERT_TRUE(peeler.Run(mode, Deadline{},
+                             [&](EdgeId e, SupportT level) {
+                               reported[e] = level;
+                               min_level = std::min(min_level, level);
+                             }));
+      EdgeId wrong = 0;
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+        const SupportT expect = truth.phi[e] >= floor ? truth.phi[e] : 0;
+        wrong += reported[e] != expect || !peeler.removed()[e];
+      }
+      const int variant = static_cast<int>(mode);
+      EXPECT_EQ(wrong, 0u) << "mode " << variant << " floor " << floor;
+      if (min_level != UINT32_MAX) {
+        EXPECT_GE(min_level, floor) << "mode " << variant;
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -119,6 +120,32 @@ TEST(BEIndex, EdgeLiveCountSumsTwoPerWedge) {
     incidences += index.EdgeLiveCount(e);
   }
   EXPECT_EQ(incidences, 2 * index.wedge_e1.size());
+}
+
+TEST(BEIndex, ComputeSupportsThrowsPastThirtyTwoBits) {
+  // Edge 0 sits in one wedge of each of two blooms whose compressed base
+  // counts make its support sum 2^32 - 1 (fits) or 2^32 (must throw).
+  BEIndex index;
+  index.num_edges = 3;
+  index.wedge_e1 = {0, 0};
+  index.wedge_e2 = {1, 2};
+  index.wedge_bloom = {0, 1};
+  index.wedge_alive = {1, 1};
+  index.edge_offsets = {0, 2, 3, 4};
+  index.edge_wedges = {0, 1, 0, 1};
+  index.bloom_live = {1, 1};
+  constexpr SupportT kHalf = SupportT{1} << 31;
+  index.bloom_base = {kHalf, kHalf - 1};
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::vector<SupportT> sup = index.ComputeSupports(p);
+    EXPECT_EQ(sup[0], UINT32_MAX);
+    EXPECT_EQ(sup[1], kHalf);
+    EXPECT_EQ(sup[2], kHalf - 1);
+  }
+  index.bloom_base[1] = kHalf;
+  EXPECT_THROW(index.ComputeSupports(), std::length_error);
+  EXPECT_THROW(index.ComputeSupports(&pool), std::length_error);
 }
 
 TEST(Verify, AcceptsCorrectAndRejectsWrongNumbers) {

@@ -180,9 +180,9 @@ TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
 }
 
 TEST(ParallelDecompose, CountingAndIndexFedPipelinesMatchSequential) {
-  // Parallel counting + parallel BE build + (for kPC) parallel cascade
-  // recounts behind the ordinary Decompose()/DecomposeWithCorePruning()
-  // entry points.
+  // Parallel counting + parallel BE build + (for kPC) each round's parallel
+  // compressed build and support scan behind the ordinary
+  // Decompose()/DecomposeWithCorePruning() entry points.
   for (const char* name : {"Twitter", "D-style"}) {
     const BipartiteGraph g = MakeDataset(name, kSuiteScale);
     for (const Algorithm algorithm :
